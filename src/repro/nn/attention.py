@@ -61,9 +61,13 @@ class MultiHeadAttention(Module):
         k = self._operand("k", self._split_heads(self.k_proj(x), B, T))
         v = self._split_heads(self.v_proj(x), B, T)
 
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(self.d_head))
+        scores = q @ k.transpose(0, 1, 3, 2)
+        # Constants in the scores' dtype: a Python float becomes a float64
+        # array here and would upcast a float32 forward's softmax.
+        dtype = scores.dtype
+        scores = scores * dtype.type(1.0 / math.sqrt(self.d_head))
         if mask is not None:
-            bias = np.where(np.asarray(mask)[:, None, None, :], 0.0, -1e9)
+            bias = np.where(np.asarray(mask)[:, None, None, :], dtype.type(0.0), dtype.type(-1e9))
             scores = scores + Tensor(bias)
         attn = ops.softmax(scores, axis=-1)
         attn = self._operand("probs", self.attn_dropout(attn))

@@ -20,6 +20,46 @@ from dataclasses import dataclass
 import numpy as np
 
 
+#: The transposed path below pays off only for short vectors (V at most
+#: this) and enough of them (at least ``_FEW_VECTORS``); elsewhere one
+#: plain reduction is faster.
+_SHORT_VECTOR = 32
+_FEW_VECTORS = 16
+#: Bytes of ``|x|`` per transposed block; weight-sized inputs stream
+#: through blocks that stay in the L2 cache.
+_BLOCK_BYTES = 1 << 19
+
+
+def vectors_absmax(xv: np.ndarray) -> np.ndarray:
+    """Per-vector absolute maximum of a ``(..., n_vectors, V)`` view.
+
+    Returns shape ``(..., n_vectors)`` in ``xv``'s dtype, bitwise equal to
+    ``np.abs(xv).max(axis=-1)`` (``max`` is exact; NaN and inf propagate the
+    same way). NumPy reduces a short, contiguous last axis with one tiny
+    inner loop per vector, so for short vectors innermost in memory
+    ``|x|`` is written transposed into C-contiguous ``(V, vectors)``
+    blocks and reduced across rows: every inner loop then runs over a long
+    contiguous row. When V is not innermost, NumPy's own reduction
+    already iterates in memory order and is used as is.
+    """
+    V = xv.shape[-1]
+    n = xv.size // V
+    if V > _SHORT_VECTOR or n < _FEW_VECTORS or xv.strides[-1] != xv.itemsize:
+        return np.abs(xv).max(axis=-1)
+    flat = xv.reshape(n, V)
+    step = _BLOCK_BYTES // (V * flat.itemsize)
+    if n <= step:
+        return np.abs(flat.T, order="C").max(axis=0).reshape(xv.shape[:-1])
+    out = np.empty(n, flat.dtype)
+    buf = np.empty((V, step), flat.dtype)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        block = buf[:, : stop - start]
+        np.abs(flat[start:stop].T, out=block)
+        block.max(axis=0, out=out[start:stop])
+    return out.reshape(xv.shape[:-1])
+
+
 class Granularity(enum.Enum):
     """How widely a scale factor is shared (paper §3/§4)."""
 
@@ -79,7 +119,7 @@ class VectorLayout:
 
     def vector_absmax(self, x: np.ndarray) -> np.ndarray:
         """Per-vector absolute maximum, shape (..., n_vectors) — Eq. 7a."""
-        return np.abs(self.to_vectors(x)).max(axis=-1)
+        return vectors_absmax(self.to_vectors(x))
 
     def expand(self, per_vector: np.ndarray, axis_len: int) -> np.ndarray:
         """Broadcast per-vector values (..., n_vectors) back over elements.

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.quant.formats import IntFormat
-from repro.quant.granularity import VectorLayout
+from repro.quant.granularity import VectorLayout, vectors_absmax
 from repro.quant.two_level import TwoLevelScales, decompose_scales
 from repro.quant.vsquant import per_vector_scales
 
@@ -75,19 +75,15 @@ def quantize_tensor(
     serving hot path where every activation tensor goes through here once
     per layer. Codes are bitwise identical to
     :func:`repro.quant.two_level.fake_quant_two_level`'s Eq. 7c codes
-    (padded tail elements are zero either way; division stays float64, so
+    (padded tail elements are zero either way, and both divide in the
+    dtype :func:`repro.utils.dtypes.resolve_dtype` picks for the input, so
     ties round identically). ``code_dtype`` optionally stores the integer
     codes narrower (e.g. float32, exact for any width the formats allow)
     to halve downstream kernel traffic.
     """
     x = np.asarray(x)
     xv = layout.to_vectors(x)
-    if xv.size:
-        # absmax without materializing |xv|: max of (max, -min) per vector.
-        alpha = np.maximum(xv.max(axis=-1), -xv.min(axis=-1))
-    else:
-        alpha = np.zeros(xv.shape[:-1])
-    s_fp = per_vector_scales(x, layout, fmt, alpha=alpha)
+    s_fp = per_vector_scales(x, layout, fmt, alpha=vectors_absmax(xv))
     scales: TwoLevelScales = decompose_scales(s_fp, scale_fmt, channel_axes)
     axis_len = x.shape[layout.axis]
     codes = xv / np.maximum(s_fp, 1e-12)[..., None]

@@ -111,6 +111,9 @@ def gelu(x) -> Tensor:
     x = as_tensor(x)
     cdf = 0.5 * (1.0 + special.erf(x.data / _SQRT_2))
     out = x.data * cdf
+    if not is_grad_enabled():
+        # Inference hot path: skip the derivative's full np.exp pass.
+        return Tensor._make(out, (x,), None)
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data**2)
     return _unary(x, out, cdf + x.data * pdf)
 

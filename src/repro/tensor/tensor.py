@@ -370,7 +370,10 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.size if axis is None else _axis_size(self.shape, axis)
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        # 1/count in a float tensor's own dtype: as a Python float it would
+        # become a float64 array and upcast a float32 mean.
+        dtype = self.dtype if self.dtype.kind == "f" else np.float64
+        return self.sum(axis=axis, keepdims=keepdims) * np.asarray(1.0 / count, dtype)
 
     def var(self, axis=None, keepdims: bool = False) -> "Tensor":
         mu = self.mean(axis=axis, keepdims=True)

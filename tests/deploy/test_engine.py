@@ -22,6 +22,7 @@ from repro.deploy.engine import IntegerConv2d, IntegerLinear
 from repro.models.bert import MiniBERT, MiniBERTConfig
 from repro.models.resnet import MiniResNet
 from repro.quant import PTQConfig, quantize_model
+from repro.tensor import ops
 from repro.tensor.tensor import Tensor, no_grad
 
 TINY_BERT = MiniBERTConfig(
@@ -181,6 +182,41 @@ class TestBERTEngine:
         # The rebuilt topology keeps the model's task API (span decoding).
         ps, pe = engine.model.predict_spans(Tensor(engine(tokens, mask=mask)), mask)
         assert (pe >= ps).all()
+
+    def test_float32_engine_runs_every_module_in_float32(self, rng, tmp_path, monkeypatch):
+        """A float32 engine keeps LayerNorm and attention (scores, mask
+        bias, softmax) in float32; float64 constants used to upcast them."""
+        model = MiniBERT(TINY_BERT, seed=0)
+        model.eval()
+        tokens = rng.integers(0, TINY_BERT.vocab_size, (4, TINY_BERT.max_seq_len))
+        mask = np.arange(TINY_BERT.max_seq_len) < np.array([[12], [9], [5], [1]])
+        config = PTQConfig.vs_quant(4, 4, weight_scale="4", act_scale="4")
+        qmodel = quantize_model(
+            model,
+            config,
+            calib_batches=[(tokens, mask)],
+            forward=lambda m, b: m(b[0], mask=b[1]),
+        )
+        out = tmp_path / "bert-artifact"
+        save_artifact(qmodel, out, quant_label=config.label, task="qa")
+        engine = IntegerEngine.load(out, precision="float32")
+        seen = []
+
+        def recording(name, fn):
+            def call(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                seen.append((name, np.asarray(getattr(result, "data", result)).dtype))
+                return result
+
+            return call
+
+        for name, module in engine.model.named_modules():
+            monkeypatch.setattr(module, "forward", recording(name, module.forward))
+        monkeypatch.setattr(ops, "softmax", recording("softmax", ops.softmax))
+        engine(tokens, mask=mask)
+        assert sum(name == "softmax" for name, _ in seen) == TINY_BERT.num_layers
+        assert {"emb_ln", "span_head"} <= {name for name, _ in seen}
+        assert [(name, dt) for name, dt in seen if dt != np.float32] == []
 
 
 class TestTopologyGuards:
