@@ -17,8 +17,8 @@ execution backend (:mod:`repro.quant.backends`) that
    and bias once per output.
 
 Backends are selected **per layer at runtime**: ``integer-prefolded``
-(weights scale-folded once at load; fused NCHW quantize+fold when channel
-vectors align) whenever no scale-product rounding is requested, plain
+(weights scale-folded once at load; convolutions quantize+fold straight
+into a padded NCHW buffer) whenever no scale-product rounding is requested, plain
 ``integer`` otherwise — both bitwise identical where they overlap, since
 they share the folded-GEMM kernels. Everything outside the GEMMs —
 BatchNorm, LayerNorm, softmax, residual adds, pooling — runs in floating

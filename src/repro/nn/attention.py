@@ -62,11 +62,11 @@ class MultiHeadAttention(Module):
         v = self._split_heads(self.v_proj(x), B, T)
 
         scores = q @ k.transpose(0, 1, 3, 2)
-        # Constants in the scores' dtype: a Python float becomes a float64
-        # array here and would upcast a float32 forward's softmax.
-        dtype = scores.dtype
-        scores = scores * dtype.type(1.0 / math.sqrt(self.d_head))
+        scores = scores * (1.0 / math.sqrt(self.d_head))
         if mask is not None:
+            # The mask bias is an array, not a weak scalar: build it in the
+            # scores' dtype so a float32 forward's softmax stays float32.
+            dtype = scores.dtype
             bias = np.where(np.asarray(mask)[:, None, None, :], dtype.type(0.0), dtype.type(-1e9))
             scores = scores + Tensor(bias)
         attn = ops.softmax(scores, axis=-1)

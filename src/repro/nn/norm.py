@@ -71,5 +71,5 @@ class LayerNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
-        normed = (x - mean) * (var + var.dtype.type(self.eps)) ** -0.5
+        normed = (x - mean) * (var + self.eps) ** -0.5
         return normed * self.weight + self.bias

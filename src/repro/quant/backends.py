@@ -15,8 +15,8 @@ A :class:`repro.quant.qlayers.QuantizedLayer` owns *what* to quantize (its
     ``scale_product_bits`` hardware rounding knob.
 ``integer-prefolded``
     The serving hot path: weight codes are scale-folded **once** at
-    prepare time; convolutions additionally use the fused NCHW
-    quantize+fold when channels align with the vector size. Bitwise
+    prepare time; convolutions additionally quantize+fold their input
+    straight into a padded channel-major (NCHW) buffer. Bitwise
     identical to ``integer`` with ``scale_product_bits=None`` (both run
     the same :func:`~repro.quant.integer_exec.integer_*_folded` tail).
 ``compiled``
@@ -43,6 +43,7 @@ from repro.quant.granularity import Granularity, VectorLayout
 from repro.quant.integer_exec import (
     QuantizedTensor,
     exact_gemm_dtype,
+    fold_conv_weights,
     fold_quantize_conv_nchw,
     integer_conv2d,
     integer_conv2d_folded,
@@ -334,8 +335,8 @@ class PrefoldedBackend(IntegerBackend):
 
     Requires ``scale_product_bits=None`` (folding distributes the integer
     per-vector scales into the codes, which is exactly what the rounding
-    knob perturbs). Convolutions take the fused NCHW quantize+fold entry
-    when the activation vectors are contiguous channel blocks.
+    knob perturbs). Convolutions take the fused NCHW quantize+fold entry,
+    :func:`~repro.quant.integer_exec.fold_quantize_conv_nchw`.
     """
 
     name = "integer-prefolded"
@@ -352,17 +353,13 @@ class PrefoldedBackend(IntegerBackend):
             )
         wq = layer.weight_q
         K = wq.codes.shape[0]
-        layer._wf = np.multiply(wq.codes, wq.sq[..., None], dtype=layer._code_dtype).reshape(
-            K, -1
-        )
+        if layer.spec.kind == "conv2d":
+            layer._wf = fold_conv_weights(wq, layer._code_dtype)
+        else:
+            layer._wf = np.multiply(
+                wq.codes, wq.sq[..., None], dtype=layer._code_dtype
+            ).reshape(K, -1)
         layer._gamma_w = np.asarray(wq.gamma).reshape(K)
-        # Fused NCHW quantize+fold: channel vectors must tile C exactly.
-        layer._fused_nchw = (
-            layer.spec.kind == "conv2d"
-            and layer.out_dtype is not None
-            and layer._act_layout.axis == 1
-            and layer.in_channels % layer._act_layout.vector_size == 0
-        )
 
     def run_linear(self, layer, x) -> Tensor:
         xq = self._quantize_input(layer, x)
@@ -375,23 +372,15 @@ class PrefoldedBackend(IntegerBackend):
         return self._finish(layer, out, conv=False)
 
     def run_conv2d(self, layer, x) -> Tensor:
-        if layer._fused_nchw:
-            data = self._input_array(layer, x)
-            xf, gamma_x = fold_quantize_conv_nchw(
-                data,
-                layer._act_layout.vector_size,
-                layer._act_fmt,
-                layer._act_scale_fmt,
-                layer.per_sample_scale,
-                layer._code_dtype,
-            )
-        else:
-            xq = self._quantize_input(layer, x)
-            B, H, W_, nv, V = xq.codes.shape
-            xf = np.multiply(xq.codes, xq.sq[..., None], dtype=layer._code_dtype).reshape(
-                B, H, W_, nv * V
-            )
-            gamma_x = xq.gamma
+        xf, gamma_x = fold_quantize_conv_nchw(
+            self._input_array(layer, x),
+            layer._act_layout.vector_size,
+            layer._act_fmt,
+            layer._act_scale_fmt,
+            layer.per_sample_scale,
+            layer._code_dtype,
+            layer.padding,
+        )
         out = integer_conv2d_folded(
             xf,
             gamma_x,
@@ -399,7 +388,6 @@ class PrefoldedBackend(IntegerBackend):
             layer._gamma_w,
             layer.kernel_size,
             layer.stride,
-            layer.padding,
             layer.out_dtype,
         )
         B, K, P, Q = out.shape

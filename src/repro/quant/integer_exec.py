@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.quant.formats import IntFormat
+from repro.quant.formats import IntFormat, scale_from_absmax
 from repro.quant.granularity import VectorLayout, vectors_absmax
 from repro.quant.two_level import TwoLevelScales, decompose_scales
 from repro.quant.vsquant import per_vector_scales
@@ -102,6 +102,17 @@ def quantize_tensor(
     )
 
 
+def _padded_channel_major(
+    B: int, nv: int, V: int, H: int, W: int, padding: int, dtype: type
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroed ``(B, nv*V, H+2p, W+2p)`` conv operand buffer, plus its
+    interior as a ``(B, nv, V, H, W)`` view for the fold to write into."""
+    Hp, Wp = H + 2 * padding, W + 2 * padding
+    buf = np.zeros((B, nv * V, Hp, Wp), dtype=dtype)
+    inner = buf.reshape(B, nv, V, Hp, Wp)[..., padding : padding + H, padding : padding + W]
+    return buf, inner
+
+
 def fold_quantize_conv_nchw(
     x: np.ndarray,
     vector_size: int,
@@ -109,22 +120,27 @@ def fold_quantize_conv_nchw(
     scale_fmt: IntFormat,
     per_sample: bool,
     fold_dtype: type,
+    padding: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Serving fast path: quantize + scale-fold an NCHW activation in place.
+    """Serving fast path: quantize + scale-fold an NCHW activation, channel-major.
 
-    Requires ``C % vector_size == 0`` (vectors are contiguous channel
-    blocks, so no transposed copy of the input is needed — the only layout
-    change is the final fused write into the (B, H, W, C) array the im2col
-    GEMM consumes). Produces exactly the folded operand
-    ``codes * sq`` that :func:`integer_conv2d`'s fast path would build from
-    a :func:`quantize_tensor` result, plus the coarse gamma (per-sample
-    ``(B, 1, 1, 1)`` or per-tensor).
+    Vectors are contiguous channel blocks, so no transposed copy of the
+    input is needed; when ``vector_size`` does not divide C, zero tail
+    channels complete the last vector (as :func:`quantize_tensor` pads
+    it). The folded operand ``codes * sq`` — exactly what
+    :func:`fold_conv_activations` builds from a :func:`quantize_tensor`
+    result — is written in NCHW order straight into the interior of a
+    zeroed ``(B, nv*V, H+2p, W+2p)`` buffer, the layout
+    :func:`integer_conv2d_folded` consumes. Also returns the coarse gamma
+    (per-sample ``(B, 1, 1, 1)`` or per-tensor).
     """
     B, C, H, W = x.shape
-    nv = C // vector_size
+    nv = -(-C // vector_size)
+    if nv * vector_size != C:
+        x = np.concatenate([x, np.zeros((B, nv * vector_size - C, H, W), x.dtype)], axis=1)
     xr = x.reshape(B, nv, vector_size, H, W)
     absmax = np.maximum(xr.max(axis=2), -xr.min(axis=2))  # (B, nv, H, W)
-    s = np.maximum(absmax / fmt.qmax, 1e-12)  # scale_from_absmax
+    s = scale_from_absmax(absmax, fmt)  # in the dtype policy's dtype
     sq_qmax = 2**scale_fmt.bits - 1
     axes = (1, 2, 3) if per_sample else (0, 1, 2, 3)
     gamma = np.maximum(s.max(axis=axes, keepdims=True) / sq_qmax, 1e-30)
@@ -134,25 +150,42 @@ def fold_quantize_conv_nchw(
     # Clip is load-bearing for unsigned formats: the absmax scale covers the
     # magnitude of negative inputs, but their codes must clamp to qmin=0.
     np.clip(codes, fmt.qmin, fmt.qmax, out=codes)
-    folded = np.empty((B, H, W, C), dtype=fold_dtype)
-    np.multiply(codes, sq[:, :, None], out=folded.transpose(0, 3, 1, 2).reshape(xr.shape))
+    folded, inner = _padded_channel_major(B, nv, vector_size, H, W, padding, fold_dtype)
+    np.multiply(codes, sq[:, :, None], out=inner)
     return folded, gamma
 
 
+def fold_conv_activations(x: QuantizedTensor, padding: int, dtype: type) -> np.ndarray:
+    """Folded ``codes * sq`` of a C-vectorized activation (codes
+    ``(B, H, W, nv, V)``) as the padded channel-major buffer of
+    :func:`fold_quantize_conv_nchw`; padded tail channels stay zero."""
+    B, H, W, nv, V = x.codes.shape
+    folded, inner = _padded_channel_major(B, nv, V, H, W, padding, dtype)
+    codes = x.codes.transpose(0, 3, 4, 1, 2)
+    sq = x.sq.transpose(0, 3, 1, 2)[:, :, None]
+    np.multiply(codes, sq, out=inner, dtype=dtype)
+    return folded
+
+
+def fold_conv_weights(w: QuantizedTensor, dtype: type) -> np.ndarray:
+    """Folded ``(K, R, S, nv, V)`` weight codes as ``(K, nv*V*R*S)`` GEMM
+    rows, reduction ordered (channel, r, s) like the im2col rows."""
+    wf = np.multiply(w.codes, w.sq[..., None], dtype=dtype)
+    return wf.transpose(0, 3, 4, 1, 2).reshape(wf.shape[0], -1)
+
+
 def _im2col_cols(
-    xf: np.ndarray, R: int, S: int, stride: int, padding: int
+    xp: np.ndarray, R: int, S: int, stride: int
 ) -> tuple[np.ndarray, int, int, int]:
-    """(B, H, W, C) folded activations -> im2col matrix (B*P*Q, R*S*C)."""
-    B, H, W_, C = xf.shape
-    P = (H + 2 * padding - R) // stride + 1
-    Q = (W_ + 2 * padding - S) // stride + 1
-    if padding:
-        xf = np.pad(xf, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    sb, sh, sw, sc = xf.strides
+    """Padded (B, C, Hp, Wp) folded activations -> im2col matrix (C*R*S, B*P*Q)."""
+    B, C, Hp, Wp = xp.shape
+    P = (Hp - R) // stride + 1
+    Q = (Wp - S) // stride + 1
+    sb, sc, sh, sw = xp.strides
     windows = np.lib.stride_tricks.as_strided(
-        xf, shape=(B, P, Q, R, S, C), strides=(sb, sh * stride, sw * stride, sh, sw, sc)
+        xp, shape=(C, R, S, B, P, Q), strides=(sc, sh, sw, sb, sh * stride, sw * stride)
     )
-    return windows.reshape(B * P * Q, R * S * C), B, P, Q  # materializes patches
+    return windows.reshape(C * R * S, B * P * Q), B, P, Q  # materializes patches
 
 
 def _fused_gamma_scale(gamma_x, gamma_w: np.ndarray) -> np.ndarray:
@@ -193,44 +226,51 @@ def integer_linear_folded(
 
 
 def integer_conv2d_folded(
-    xf: np.ndarray,
+    xp: np.ndarray,
     gamma_x: np.ndarray,
     wf: np.ndarray,
     gamma_w: np.ndarray,
     kernel_size: int | tuple[int, int],
     stride: int,
-    padding: int,
     out_dtype: type | None,
 ) -> np.ndarray:
     """im2col GEMM over pre-folded conv operands (the serving hot loop).
 
-    ``xf``: (B, H, W, C) folded activation codes (from
-    :func:`fold_quantize_conv_nchw` or a folded :func:`quantize_tensor`
-    result); ``wf``: (K, R*S*C) folded weight codes; ``kernel_size`` is an
-    int for square kernels or an ``(R, S)`` pair. Equivalent to
-    :func:`integer_conv2d` with ``scale_product_bits=None`` — same exact
-    integer accumulators, same scaling order — minus the per-call folds.
+    ``xp``: (B, C, H+2p, W+2p) zero-padded folded activation codes (from
+    :func:`fold_quantize_conv_nchw` or :func:`fold_conv_activations`);
+    ``wf``: (K, C*R*S) folded weight codes (:func:`fold_conv_weights`);
+    ``kernel_size`` is an int for square kernels or an ``(R, S)`` pair.
+    The GEMM yields (K, B*P*Q) and the gamma scaling writes it straight
+    into the (B, K, P, Q) output. Equivalent to :func:`integer_conv2d`
+    with ``scale_product_bits=None`` — same exact integer accumulators,
+    same scaling order — minus the per-call folds.
     """
     R, S = (
         (kernel_size, kernel_size) if isinstance(kernel_size, int) else kernel_size
     )
     K = wf.shape[0]
-    cols, B, P, Q = _im2col_cols(xf, R, S, stride, padding)
-    acc = cols @ wf.T
-    gamma_w = np.asarray(gamma_w).reshape(K)
+    cols, B, P, Q = _im2col_cols(xp, R, S, stride)
+    acc = (wf @ cols).reshape(K, B, P * Q).transpose(1, 0, 2)  # (B, K, PQ) view
+    return _scale_conv_acc(acc, gamma_x, gamma_w, out_dtype).reshape(B, K, P, Q)
+
+
+def _scale_conv_acc(acc: np.ndarray, gamma_x, gamma_w, out_dtype: type | None) -> np.ndarray:
+    """Apply the coarse gammas to a (B, K, P*Q) integer accumulator in one
+    pass into a new C-contiguous array. ``out_dtype`` as in
+    :func:`integer_linear`: ``None`` keeps the float64 reference order."""
+    gamma_w = np.asarray(gamma_w).reshape(acc.shape[1], 1)
+    gamma_x = np.asarray(gamma_x).reshape(-1, 1, 1)
+    out = np.empty(acc.shape, dtype=out_dtype or np.float64)
     if out_dtype is not None:
-        scale = _fused_gamma_scale(gamma_x, gamma_w)
-        scaled = np.multiply(
-            acc.reshape(B, P, Q, K), scale.astype(out_dtype, copy=False), dtype=out_dtype
-        )
-        return np.ascontiguousarray(np.moveaxis(scaled, 3, 1))
-    # (B, P, Q, K) -> contiguous float64 NCHW before the fp gamma scaling.
-    out = np.ascontiguousarray(np.moveaxis(acc.reshape(B, P, Q, K), 3, 1), dtype=np.float64)
-    gamma_x = np.asarray(gamma_x)
-    if gamma_x.size == 1:  # per-tensor activation gamma
-        return out * float(gamma_x.reshape(-1)[0]) * gamma_w[None, :, None, None]
-    # Per-sample gamma (B, 1, 1, 1) broadcasts against out (B, K, P, Q).
-    return out * gamma_w[None, :, None, None] * gamma_x
+        scale = _fused_gamma_scale(gamma_x, gamma_w)  # (K, 1) or (B, K, 1)
+        np.multiply(acc, scale.astype(out_dtype, copy=False), out=out, dtype=out_dtype)
+    elif gamma_x.size == 1:  # per-tensor: (acc * gamma_x) * gamma_w
+        np.multiply(acc, float(gamma_x.reshape(-1)[0]), out=out, dtype=np.float64)
+        out *= gamma_w
+    else:  # per-sample: (acc * gamma_w) * gamma_x
+        np.multiply(acc, gamma_w, out=out, dtype=np.float64)
+        out *= gamma_x
+    return out
 
 
 def round_scale_product(
@@ -381,16 +421,18 @@ def integer_conv2d(
         # into the codes — all products and partial sums stay exact
         # integers, so this is bitwise identical to the rounding path with
         # rounding disabled, but runs as one im2col GEMM per layer (float32
-        # when the 24-bit accumulator bound allows). Folding before padding
-        # keeps the pad on the narrow flattened array.
-        C2 = nv * V
-        dt = exact_gemm_dtype(x.fmt, x.scale_fmt, w.fmt, w.scale_fmt, R * S * C2)
-        xf = np.multiply(x.codes, x.sq[..., None], dtype=dt).reshape(B, H, W_, C2)
-        wf = np.multiply(w.codes, w.sq[..., None], dtype=dt).reshape(K, R * S * C2)
-        # Shared folded-GEMM tail (also the integer-prefolded backend's hot
-        # loop, which precomputes wf once at load instead of per call).
+        # when the 24-bit accumulator bound allows). The shared folded tail
+        # is also the integer-prefolded backend's hot loop, which folds the
+        # weights once at load instead of per call.
+        dt = exact_gemm_dtype(x.fmt, x.scale_fmt, w.fmt, w.scale_fmt, R * S * nv * V)
         return integer_conv2d_folded(
-            xf, x.gamma, wf, w.gamma, (R, S), stride, padding, out_dtype
+            fold_conv_activations(x, padding, dt),
+            x.gamma,
+            fold_conv_weights(w, dt),
+            w.gamma,
+            (R, S),
+            stride,
+            out_dtype,
         )
     else:
         codes = x.codes
@@ -412,12 +454,8 @@ def integer_conv2d(
                 product = ss[:, None, :, :, :] * w.sq[None, :, r, s, :][:, :, None, None, :]
                 product = round_scale_product(product, full_bits, scale_product_bits)
                 out += (dot * product).sum(axis=-1)
-    gamma_w = np.asarray(w.gamma).reshape(K)
-    gamma_x = np.asarray(x.gamma)
-    if gamma_x.size == 1:  # per-tensor activation gamma
-        return out * float(gamma_x.reshape(-1)[0]) * gamma_w[None, :, None, None]
-    # Per-sample gamma (B, 1, 1, 1) broadcasts against out (B, K, P, Q).
-    return out * gamma_w[None, :, None, None] * gamma_x
+    acc = out.reshape(B, K, P * Q)
+    return _scale_conv_acc(acc, x.gamma, w.gamma, out_dtype).reshape(B, K, P, Q)
 
 
 def fake_quant_linear_reference(

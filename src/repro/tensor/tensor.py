@@ -195,8 +195,16 @@ class Tensor:
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
+    def _operand(self, other) -> "Tensor":
+        """``other`` as a Tensor, with Python scalars weak as under NEP 50:
+        an ``int``/``float`` takes this tensor's float dtype instead of
+        becoming a float64 array that would upcast a float32 operand."""
+        if type(other) in (int, float) and self.data.dtype.kind == "f":
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return as_tensor(other)
+
     def __add__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data + other.data
 
         def backward(g: np.ndarray) -> None:
@@ -217,13 +225,13 @@ class Tensor:
         return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-as_tensor(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) + (-self)
+        return self._operand(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data * other.data
 
         def backward(g: np.ndarray) -> None:
@@ -237,7 +245,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data / other.data
 
         def backward(g: np.ndarray) -> None:
@@ -251,7 +259,7 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other) / self
+        return self._operand(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -370,10 +378,7 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.size if axis is None else _axis_size(self.shape, axis)
-        # 1/count in a float tensor's own dtype: as a Python float it would
-        # become a float64 array and upcast a float32 mean.
-        dtype = self.dtype if self.dtype.kind == "f" else np.float64
-        return self.sum(axis=axis, keepdims=keepdims) * np.asarray(1.0 / count, dtype)
+        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def var(self, axis=None, keepdims: bool = False) -> "Tensor":
         mu = self.mean(axis=axis, keepdims=True)

@@ -47,6 +47,23 @@ def _assert_matches_simulation(y_int: np.ndarray, y_fake: np.ndarray):
     assert match >= 0.95, f"only {match:.0%} of predictions agree"
 
 
+def _recording(seen: list, name: str, fn):
+    def call(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        seen.append((name, np.asarray(getattr(result, "data", result)).dtype))
+        return result
+
+    return call
+
+
+def _spy_module_output_dtypes(engine, monkeypatch) -> list:
+    """Record ``(module name, output dtype)`` for every module forward."""
+    seen: list = []
+    for name, module in engine.model.named_modules():
+        monkeypatch.setattr(module, "forward", _recording(seen, name, module.forward))
+    return seen
+
+
 @pytest.fixture
 def resnet_pair(rng, tmp_path):
     model = MiniResNet(num_classes=10, width=1, depth=1, seed=0)
@@ -94,6 +111,16 @@ class TestResNetEngine:
         # Same integer pipeline, float32 glue: close + predictions agree.
         assert np.median(np.abs(y32 - y64) / (np.abs(y64).max() + 1e-12)) < 1e-5
         assert (y32.argmax(-1) == y64.argmax(-1)).mean() >= 0.9
+
+    def test_float32_engine_runs_every_module_in_float32(self, rng, resnet_pair, monkeypatch):
+        """A float32 engine keeps BatchNorm, residual adds and the global
+        pool in float32; eval BN's Python-float ``eps`` used to upcast them."""
+        _, out = resnet_pair
+        engine = IntegerEngine.load(out, precision="float32")
+        seen = _spy_module_output_dtypes(engine, monkeypatch)
+        engine(rng.standard_normal((4, 3, 16, 16)).astype(np.float32))
+        assert {"stem_bn", "blocks.item1.proj_bn", "pool", "head"} <= {name for name, _ in seen}
+        assert [(name, dt) for name, dt in seen if dt != np.float32] == []
 
     def test_float32_fused_path_clips_unsigned_codes(self, rng, tmp_path):
         """Regression: unsigned activations fed negative data must clip to 0.
@@ -200,19 +227,8 @@ class TestBERTEngine:
         out = tmp_path / "bert-artifact"
         save_artifact(qmodel, out, quant_label=config.label, task="qa")
         engine = IntegerEngine.load(out, precision="float32")
-        seen = []
-
-        def recording(name, fn):
-            def call(*args, **kwargs):
-                result = fn(*args, **kwargs)
-                seen.append((name, np.asarray(getattr(result, "data", result)).dtype))
-                return result
-
-            return call
-
-        for name, module in engine.model.named_modules():
-            monkeypatch.setattr(module, "forward", recording(name, module.forward))
-        monkeypatch.setattr(ops, "softmax", recording("softmax", ops.softmax))
+        seen = _spy_module_output_dtypes(engine, monkeypatch)
+        monkeypatch.setattr(ops, "softmax", _recording(seen, "softmax", ops.softmax))
         engine(tokens, mask=mask)
         assert sum(name == "softmax" for name, _ in seen) == TINY_BERT.num_layers
         assert {"emb_ln", "span_head"} <= {name for name, _ in seen}

@@ -57,6 +57,16 @@ class TestArithmetic:
         np.testing.assert_allclose((2 * t).data, [2.0, 4.0])
         np.testing.assert_allclose((2 / t).data, [2.0, 1.0])
 
+    def test_python_scalars_are_weak(self):
+        t = Tensor(np.array([1.0, 2.0], dtype=np.float32))
+        for out in (t + 1e-5, 2 + t, t - 1, 2 - t, 0.5 * t, t / 3, 2 / t):
+            assert out.dtype == np.float32
+        np.testing.assert_array_equal((t + 1e-5).data, t.data + np.float32(1e-5))
+        # NumPy scalars and arrays keep their own dtype, as under NEP 50.
+        assert (t + np.float64(1e-5)).dtype == np.float64
+        assert (t * np.asarray(0.5)).dtype == np.float64
+        assert (Tensor([1.0]) * 3).dtype == np.float64
+
     def test_pow(self):
         t = Tensor([2.0, 3.0])
         np.testing.assert_allclose((t**2).data, [4.0, 9.0])
