@@ -2,9 +2,11 @@
 
 Used by the CLI self-traffic mode, the scaling benchmark, and the test
 suite — anything that wants to speak the gateway's JSON protocol without
-hand-rolling ``urllib`` calls. Arrays are sent as nested JSON lists
-(``tolist()``); tuple payloads (QA: ``(tokens, mask)``) are sent as a
-two-element list.
+hand-rolling ``urllib`` calls. Numeric arrays are sent as tensor objects
+``{"dtype", "shape", "b64"}`` — the base64 of their C-contiguous bytes,
+~4x smaller than decimal JSON and bitwise exact; tuple payloads (QA:
+``(tokens, mask)``) are sent as a two-element list of them. The gateway
+reads them back with :func:`decode_inputs`.
 
 Resilience (PR 6) — all opt-in, so a bare ``GatewayClient(url)`` behaves
 exactly as before:
@@ -32,7 +34,10 @@ Observability (PR 7): ``predict(request_id=..., trace=True)`` propagates
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+import math
 import threading
 import time
 import urllib.error
@@ -41,6 +46,9 @@ from dataclasses import dataclass
 from random import Random
 
 import numpy as np
+
+#: dtype kinds a tensor object may carry: bool, signed, unsigned, float.
+_TENSOR_KINDS = "biuf"
 
 
 class GatewayHTTPError(RuntimeError):
@@ -203,11 +211,74 @@ class CircuitBreaker:
             }
 
 
-def encode_inputs(payload) -> list:
-    """Server payload (array or tuple of arrays) -> JSON-able nested lists."""
+def _encode_tensor(a) -> dict | list:
+    """One array -> a JSON-able tensor object (non-numeric: nested lists)."""
+    a = np.asarray(a, order="C")  # ascontiguousarray would lift 0-d to 1-d
+    if a.dtype.kind not in _TENSOR_KINDS:
+        return a.tolist()
+    return {"dtype": a.dtype.str, "shape": list(a.shape),
+            "b64": base64.b64encode(a.data).decode("ascii")}
+
+
+def _decode_tensor(obj: dict) -> np.ndarray:
+    """Tensor object -> owned ndarray; ``ValueError`` on anything malformed.
+
+    The object is untrusted request input: only numeric dtypes, a list of
+    non-negative int dims, strict base64, exactly ``prod(shape) * itemsize``
+    bytes, and (for bool) bytes of 0 or 1 are accepted.
+    """
+    if set(obj) != {"dtype", "shape", "b64"}:
+        raise ValueError(
+            f"tensor object needs exactly the keys dtype, shape, b64; got {sorted(obj)}"
+        )
+    dtype, shape, data = obj["dtype"], obj["shape"], obj["b64"]
+    if not isinstance(dtype, str):
+        raise ValueError(f"tensor dtype must be a string, got {dtype!r}")
+    try:
+        dtype = np.dtype(dtype)
+    except TypeError as exc:
+        raise ValueError(f"unknown tensor dtype {obj['dtype']!r}") from exc
+    if dtype.kind not in _TENSOR_KINDS:
+        raise ValueError(f"tensor dtype {obj['dtype']!r} is not boolean or numeric")
+    if not isinstance(shape, list) or not all(
+        type(d) is int and d >= 0 for d in shape
+    ):
+        raise ValueError(f"tensor shape must be a list of non-negative ints, got {shape!r}")
+    if not isinstance(data, str):
+        raise ValueError("tensor b64 must be a string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"tensor b64 is not strict base64: {exc}") from None
+    expected = math.prod(shape) * dtype.itemsize
+    if len(raw) != expected:
+        raise ValueError(
+            f"tensor of shape {shape} and dtype {dtype.str} needs {expected} "
+            f"bytes, b64 decodes to {len(raw)}"
+        )
+    if dtype.kind == "b" and raw.translate(None, b"\0\1"):
+        raise ValueError("bool tensor bytes must be 0 or 1")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+
+def encode_inputs(payload) -> dict | list:
+    """Server payload (array or tuple of arrays) -> JSON-able tensor objects."""
     if isinstance(payload, tuple):
-        return [np.asarray(f).tolist() for f in payload]
-    return np.asarray(payload).tolist()
+        return [_encode_tensor(f) for f in payload]
+    return _encode_tensor(payload)
+
+
+def decode_inputs(inputs):
+    """Predict ``inputs`` -> the same with every tensor object an ndarray.
+
+    Tensor objects may be the whole of ``inputs`` or fields of a top-level
+    list (QA); nested lists pass through for the model's payload codec.
+    """
+    if isinstance(inputs, dict):
+        return _decode_tensor(inputs)
+    if isinstance(inputs, list):
+        return [_decode_tensor(f) if isinstance(f, dict) else f for f in inputs]
+    return inputs
 
 
 #: Connection-level failures worth a retry: refused/reset sockets and
@@ -361,8 +432,9 @@ class GatewayClient:
                 trace: bool = False):
         """POST one prediction; returns the outputs array.
 
-        ``inputs`` may be a numpy array, a tuple of arrays (QA), or
-        already-JSON-able nested lists. ``raw=True`` returns the whole
+        ``inputs`` may be a numpy array, a tuple of arrays (QA; both sent
+        as tensor objects), or already-JSON-able inputs: nested lists or
+        the output of :func:`encode_inputs`. ``raw=True`` returns the whole
         response dict (model, version, outputs, cached) instead.
         ``deadline_s`` bounds the entire call — every retry attempt and
         backoff included — raising :class:`DeadlineExceeded` past it.

@@ -28,6 +28,13 @@ API surface (all JSON):
                                       (``?source=&model=&event=&limit=``)
 ====================================  =======================================
 
+Predict inputs: each array of one sample is either a tensor object
+``{"dtype": "<f4", "shape": [3, 32, 32], "b64": ...}`` (base64 of its
+C-contiguous bytes; what :class:`~repro.serve.client.GatewayClient`
+sends) or the nested-list form (what curl users write). QA models take
+``[tokens, mask]`` with either form per field. Outputs are always nested
+lists.
+
 Observability: every predict gets a request ID (inbound ``X-Request-Id``
 honored, else generated) and a span timeline (decode -> queue_wait ->
 batch_form -> execute -> encode) returned in the ``X-Trace`` header; send
@@ -48,7 +55,11 @@ Error semantics — the admission-control contract:
   entry disappears before its pool drains).
 - **400** malformed JSON, missing/undecodable ``inputs``, or a POST
   without a valid ``Content-Length`` (the gateway never reads an
-  unbounded body).
+  unbounded body). A tensor object must have exactly the keys ``dtype``,
+  ``shape`` and ``b64``, a boolean/int/uint/float dtype, non-negative
+  int dims, strict base64 and exactly ``prod(shape) * itemsize`` bytes.
+  An image whose shape differs from the model's manifest
+  ``input_shape`` is a 400 too, refused before it reaches a queue.
 - **413** declared body larger than ``max_body_bytes``; refused before
   a single body byte is read.
 - **429** every replica queue of the model is full. The response carries
@@ -63,10 +74,10 @@ Error semantics — the admission-control contract:
 Response cache: an optional process-wide LRU keyed by
 ``sha256(name, version, raw input bytes + shapes + dtypes)`` — the
 *decoded* arrays are hashed, so textual JSON differences ("1.0" vs "1")
-of the same tensor share an entry, and a reloaded model under a new
-version never serves stale bytes. Only successful predictions are
-cached; per-sample-scale serving makes them batch-invariant and thus
-cacheable at all.
+and the tensor-object vs nested-list forms of the same tensor share an
+entry, and a reloaded model under a new version never serves stale
+bytes. Only successful predictions are cached; per-sample-scale serving
+makes them batch-invariant and thus cacheable at all.
 """
 
 from __future__ import annotations
@@ -85,6 +96,7 @@ import numpy as np
 from repro.compile import kernel_cache_stats
 from repro.obs import PROMETHEUS_CONTENT_TYPE
 from repro.serve.autoscale import AutoscalePolicy
+from repro.serve.client import decode_inputs
 from repro.serve.faults import FaultPlan
 from repro.serve.health import HealthPolicy, pool_health
 from repro.serve.instrument import ServeMetrics
@@ -170,6 +182,24 @@ class ResponseCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
             }
+
+
+def _decode_payload(entry: ModelEntry, inputs):
+    """Predict ``inputs`` -> server payload, admitted against the manifest.
+
+    Tensor objects become arrays before the entry's codec runs, so codecs
+    see array-likes whichever wire form the client chose. An array payload
+    whose shape differs from the entry's ``input_shape`` is refused here
+    (``ValueError`` -> 400): in a queue it would fail its whole batch.
+    """
+    payload = entry.decode(decode_inputs(inputs))
+    shape = entry.input_shape
+    if shape is not None and isinstance(payload, np.ndarray) and payload.shape != shape:
+        raise ValueError(
+            f"input shape {list(payload.shape)} does not match the model's "
+            f"input_shape {list(shape)}"
+        )
+    return payload
 
 
 # ----------------------------------------------------------------------
@@ -564,9 +594,9 @@ class Gateway:
         try:
             if trace is not None:
                 with trace.span("decode"):
-                    payload = entry.decode(body["inputs"])
+                    payload = _decode_payload(entry, body["inputs"])
             else:
-                payload = entry.decode(body["inputs"])
+                payload = _decode_payload(entry, body["inputs"])
         except (ValueError, TypeError) as exc:
             raise _JSONResponse(400, {"error": f"cannot decode inputs: {exc}"})
 

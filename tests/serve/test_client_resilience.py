@@ -322,4 +322,7 @@ class TestWireFormat:
         assert seen["method"] == "POST"
         assert seen["path"] == "/v1/models/m/predict"
         assert json.dumps(seen["body"])  # JSON-able
-        assert seen["body"] == {"inputs": [1.0, 2.0]}
+        # float32 [1.0, 2.0] as a tensor object: its 8 little-endian bytes
+        assert seen["body"] == {
+            "inputs": {"dtype": "<f4", "shape": [2], "b64": "AACAPwAAAEA="}
+        }
